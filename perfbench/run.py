@@ -39,8 +39,6 @@ EXPECTED = BENCH_DIR / "expected.json"
 MIN_ROUNDS = 3
 #: Timed set-ups per run for a workload that builds its fixture once.
 SETUP_REPEATS = 3
-#: The probe time host seconds are scaled to (see ``speed_probe``).
-PROBE_REF_S = 0.2
 
 E2E_UNITS = {
     "wall_s": "s",
@@ -160,42 +158,12 @@ def median(values) -> float:
     return float(statistics.median(values))
 
 
-def _ticks(n: int):
-    for i in range(n):
-        yield i
-
-
-def speed_probe() -> float:
-    """Host seconds of fixed pure-Python work that runs no ``repro`` code.
-
-    On a shared host the speed of the same code drifts (1.7x within
-    minutes on a 2-core sandbox), far more than the bounds in
-    BENCHMARK.json.  The probe runs between the timed steps of a run and
-    slows down with them, so host times divided by the probe's are
-    steady; a change to ``src`` cannot move the probe.  An integer loop
-    plus generator resumptions (the kernel's inner loop resumes
-    generators) tracked the workloads' round times better than either
-    alone did.
-    """
-    t0 = time.perf_counter()
-    acc = 0
-    for i in range(1_500_000):
-        acc += i * i
-    for _ in range(600):
-        for i in _ticks(2000):
-            acc += i
-    return time.perf_counter() - t0
-
-
 def measure(workload, seed: int, seconds: float, expected: Optional[dict]) -> dict:
     """The untraced run: end-to-end metrics over rounds filling ``seconds``.
 
-    Host times are scaled to a host on which ``speed_probe`` takes
-    ``PROBE_REF_S``, using the median of the probes taken before and
-    after every timed step of the run.
+    Host times are medians over the run's rounds and set-ups.
     """
     setups: list[float] = []
-    probes = [speed_probe()]
     fixture = None
     if workload.reuse_fixture:
         for _ in range(SETUP_REPEATS):
@@ -203,12 +171,10 @@ def measure(workload, seed: int, seconds: float, expected: Optional[dict]) -> di
             t0 = time.perf_counter()
             fixture = workload.setup(seed)
             setups.append(time.perf_counter() - t0)
-            probes.append(speed_probe())
 
     def one() -> Round:
         rnd = run_round(workload, seed, fixture)
         rnd.census = None  # let the round's simulations go before the next one
-        probes.append(speed_probe())
         if rnd.setup_s is not None:
             setups.append(rnd.setup_s)
         return rnd
@@ -235,15 +201,11 @@ def measure(workload, seed: int, seconds: float, expected: Optional[dict]) -> di
     if problems and not failed:  # the warm-up round failed
         failed = attempted
     metrics = {}
-    host = {"probe_s": median(probes)}
     if ok:
-        host["wall_s"] = median(r.wall_s for r in ok)
-        host["setup_s"] = median(setups)
-        scale = PROBE_REF_S / host["probe_s"]
         metrics = {
-            "wall_s": host["wall_s"] * scale,
-            "ops_per_s": median(r.ops / r.wall_s for r in ok) / scale,
-            "setup_s": host["setup_s"] * scale,
+            "wall_s": median(r.wall_s for r in ok),
+            "ops_per_s": median(r.ops / r.wall_s for r in ok),
+            "setup_s": median(setups),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "events_per_op": ok[0].events / ok[0].ops,
         }
@@ -254,7 +216,6 @@ def measure(workload, seed: int, seconds: float, expected: Optional[dict]) -> di
         "problems": problems,
         "metrics": {k: {"value": v, "unit": E2E_UNITS[k]} for k, v in metrics.items()},
         "rounds": len(rounds),
-        "host": host,
     }
 
 
@@ -348,9 +309,7 @@ def run_one(args) -> int:
     report = run(workload, args.seed, args.seconds, expected)
     for problem in report.pop("problems"):
         print(f"FAIL {workload.name}: {problem}")
-    host = ", ".join(f"{k} {v:.6g}" for k, v in report.pop("host", {}).items())
-    print(f"{workload.name} seed={args.seed} trace={args.trace} rounds={report.pop('rounds')}"
-          + (f" (unscaled host medians: {host})" if host else ""))
+    print(f"{workload.name} seed={args.seed} trace={args.trace} rounds={report.pop('rounds')}")
     for name, metric in report["metrics"].items():
         print(f"  {name} = {metric['value']:.6g} {metric['unit']}")
     print(json.dumps(report))

@@ -131,7 +131,7 @@ def test_exits_nonzero_without_the_source_tree(tmp_path):
     assert out.stdout == ""
 
 
-def test_measure_scales_host_time_by_the_speed_probe(ttcp_round):
+def test_measure_reports_host_medians(ttcp_round):
     report = run.measure(TtcpWorkload(tcp_bytes=200 * units.KB, udp_ns=units.MS),
                          seed=0, seconds=0.0, expected=ttcp_round.results)
     assert report["correct"] and report["rounds"] == run.MIN_ROUNDS
@@ -139,10 +139,9 @@ def test_measure_scales_host_time_by_the_speed_probe(ttcp_round):
     assert report["failed"] == 0
     metrics = {k: v["value"] for k, v in report["metrics"].items()}
     assert list(metrics) == list(run.E2E_UNITS)
-    host = report["host"]
-    scale = run.PROBE_REF_S / host["probe_s"]
-    assert metrics["wall_s"] == pytest.approx(host["wall_s"] * scale)
-    assert metrics["setup_s"] == pytest.approx(host["setup_s"] * scale)
+    assert metrics["wall_s"] > 0 and metrics["setup_s"] > 0
+    # an odd number of rounds, each of the same ops: the two medians agree
+    assert metrics["ops_per_s"] == pytest.approx(ttcp_round.ops / metrics["wall_s"])
     assert metrics["events_per_op"] == ttcp_round.events / ttcp_round.ops
 
 

@@ -131,8 +131,7 @@ class NasWorkload:
     name = "nas_mpi"
     reuse_fixture = True
 
-    def __init__(self, cells=("mg.B.16", "ft.B.16", "is.B.16")):
-        self.cells = list(cells)
+    CELLS = ("mg.B.16", "ft.B.16", "is.B.16")
 
     def setup(self, seed: int):
         clear_cache()
@@ -140,7 +139,7 @@ class NasWorkload:
 
     def run(self, fixture, census: Census):
         # No result cache: every point runs its simulations.
-        table = fig14(cells=self.cells, engine=Engine(jobs=1))
+        table = fig14(cells=self.CELLS, engine=Engine(jobs=1))
         messages = sum(t.messages for t in census.transports)
         results = {
             "mops": {row["cell"]: {cfg: row[cfg.replace("-", "_")] for cfg in NAS_CONFIGS}
@@ -182,9 +181,9 @@ class ProvisionWorkload:
 class LossyWorkload:
     """Reno flows and paced UDP into one sink, one sender under seeded loss.
 
-    A VNET/P mesh on 1G NICs: hosts ``0..flows-1`` each run one bulk Reno
-    flow to the last host, host ``flows`` sends paced UDP to it at
-    ``udp_fraction`` of line rate, and host 0's NIC drops frames with
+    A VNET/P mesh on 1G NICs: hosts ``0..FLOWS-1`` each run one bulk Reno
+    flow to the last host, host ``FLOWS`` sends paced UDP to it at
+    ``UDP_FRACTION`` of line rate, and host 0's NIC drops frames with
     probability ``loss`` from a stream seeded by the benchmark seed.
     Closed loop: each sender writes as fast as its socket accepts.
     """
@@ -193,19 +192,18 @@ class LossyWorkload:
     reuse_fixture = False
     seeded = True
 
+    FLOWS = 3
+    UDP_FRACTION = 0.3
     TCP_PORT = 5100
     UDP_PORT = 5130
     UDP_PAYLOAD = 1400
 
-    def __init__(self, flows: int = 3, udp_fraction: float = 0.3, loss: float = 0.01,
-                 horizon_ns: int = 80 * units.MS):
-        self.flows = flows
-        self.udp_fraction = udp_fraction
+    def __init__(self, loss: float = 0.01, horizon_ns: int = 80 * units.MS):
         self.loss = loss
         self.horizon_ns = horizon_ns
 
     def setup(self, seed: int):
-        tb = build_topo(TopoSpec(kind="mesh", n_hosts=self.flows + 2),
+        tb = build_topo(TopoSpec(kind="mesh", n_hosts=self.FLOWS + 2),
                         nic_params=BROADCOM_1G)
         sched = FaultSchedule(tb.sim, name="bench-loss")
         window = sched.loss(tb.hosts[0].nic.tx_port, start_ns=0, stop_ns=None,
@@ -239,7 +237,7 @@ class LossyWorkload:
                 payload = (yield from sock.recv())[0]
                 udp["rx"] += payload.size
 
-        gap_ns = int(self.UDP_PAYLOAD * 8e9 / (self.udp_fraction * BROADCOM_1G.rate_bps))
+        gap_ns = int(self.UDP_PAYLOAD * 8e9 / (self.UDP_FRACTION * BROADCOM_1G.rate_bps))
 
         def udp_tx(src):
             sock = src.stack.udp_socket()
@@ -248,12 +246,12 @@ class LossyWorkload:
                 udp["tx"] += self.UDP_PAYLOAD
                 yield sim.timeout(gap_ns)
 
-        for i in range(self.flows):
+        for i in range(self.FLOWS):
             sim.process(server(self.TCP_PORT + i, i), name=f"bench.server.{i}")
             sim.process(client(tb.endpoints[i], self.TCP_PORT + i, i),
                         name=f"bench.client.{i}")
         sim.process(udp_rx(), name="bench.udp-rx")
-        sim.process(udp_tx(tb.endpoints[self.flows]), name="bench.udp-tx")
+        sim.process(udp_tx(tb.endpoints[self.FLOWS]), name="bench.udp-tx")
         sim.run(until=self.horizon_ns)
 
         results = {
@@ -265,7 +263,7 @@ class LossyWorkload:
                     "fast_retransmits": clients[i].fast_retransmits,
                     "fast_recoveries": clients[i].fast_recoveries,
                 }
-                for i in range(self.flows)
+                for i in range(self.FLOWS)
             ],
             "udp_tx_bytes": udp["tx"],
             "udp_rx_bytes": udp["rx"],
