@@ -4,7 +4,7 @@
 Usage, from the root of a checkout::
 
     python3 perfbench/run.py                      # every workload, untraced + traced
-    python3 perfbench/run.py --workload ttcp_10g --seed 0 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload provision_fattree --seed 0 --seconds 30 --trace 0
     python3 perfbench/run.py --workload lossy_contention --seed 1 --record
 
 With ``--workload`` the last line of standard output is one JSON object
@@ -17,9 +17,12 @@ matched ``perfbench/expected.json`` and every integrity check passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import gc
+import itertools
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -60,6 +63,7 @@ class Round:
     setup_s: Optional[float]
     census: object = None
     error: Optional[str] = None
+    cpu: Optional[int] = None
 
 
 def run_round(workload, seed: int, fixture=None, spans: bool = False,
@@ -158,41 +162,81 @@ def median(values) -> float:
     return float(statistics.median(values))
 
 
+@contextlib.contextmanager
+def cpu_rotation():
+    """Yield a function that moves the process to its next CPU in turn.
+
+    The function returns the CPU, or ``None`` where affinity is not
+    supported.  The process's CPU set is restored on exit.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    turns = itertools.cycle(cpus)
+
+    def next_cpu() -> Optional[int]:
+        if not cpus:
+            return None
+        cpu = next(turns)
+        os.sched_setaffinity(0, {cpu})
+        return cpu
+
+    try:
+        yield next_cpu
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+
+
+def median_per_cpu(rounds: list[Round]) -> float:
+    """The mean over CPUs of the median round wall time on each CPU."""
+    on: dict = {}
+    for rnd in rounds:
+        on.setdefault(rnd.cpu, []).append(rnd.wall_s)
+    return statistics.fmean(median(walls) for walls in on.values())
+
+
 def measure(workload, seed: int, seconds: float, expected: Optional[dict]) -> dict:
     """The untraced run: end-to-end metrics over rounds filling ``seconds``.
 
-    Host times are medians over the run's rounds and set-ups.
+    Successive set-ups and rounds run on each of the process's CPUs in
+    turn.  On a shared host one CPU can be much faster than another for
+    minutes at a time, so a run left on the CPU it started on would read
+    that CPU's speed.  ``wall_s`` is the mean over CPUs of the median
+    round time on each; ``setup_s`` is the median over all set-ups.
     """
-    setups: list[float] = []
-    fixture = None
-    if workload.reuse_fixture:
-        for _ in range(SETUP_REPEATS):
-            gc.collect()
-            t0 = time.perf_counter()
-            fixture = workload.setup(seed)
-            setups.append(time.perf_counter() - t0)
+    with cpu_rotation() as next_cpu:
+        setups: list[float] = []
+        fixture = None
+        if workload.reuse_fixture:
+            for _ in range(SETUP_REPEATS):
+                next_cpu()
+                gc.collect()
+                t0 = time.perf_counter()
+                fixture = workload.setup(seed)
+                setups.append(time.perf_counter() - t0)
 
-    def one() -> Round:
-        rnd = run_round(workload, seed, fixture)
-        rnd.census = None  # let the round's simulations go before the next one
-        if rnd.setup_s is not None:
-            setups.append(rnd.setup_s)
-        return rnd
+        def one() -> Round:
+            cpu = next_cpu()
+            rnd = run_round(workload, seed, fixture)
+            rnd.cpu = cpu
+            rnd.census = None  # let the round's simulations go before the next one
+            if rnd.setup_s is not None:
+                setups.append(rnd.setup_s)
+            return rnd
 
-    problems = []
-    warm = one()  # fills lazy caches; timed set-up only
-    if warm.error is not None:
-        problems.append(f"warm-up round: {warm.error.strip().splitlines()[-1]}")
-    rounds: list[Round] = []
-    start = time.perf_counter()
-    while not problems and (len(rounds) < MIN_ROUNDS
-                            or time.perf_counter() - start < seconds):
-        rnd = one()
-        round_problems = check_round(workload, seed, rnd, expected,
-                                     rounds[0] if rounds else None)
-        rnd.error = "; ".join(round_problems) or None
-        rounds.append(rnd)
-        problems += [f"round {len(rounds)}: {p}" for p in round_problems]
+        problems = []
+        warm = one()  # fills lazy caches; timed set-up only
+        if warm.error is not None:
+            problems.append(f"warm-up round: {warm.error.strip().splitlines()[-1]}")
+        rounds: list[Round] = []
+        start = time.perf_counter()
+        while not problems and (len(rounds) < MIN_ROUNDS
+                                or time.perf_counter() - start < seconds):
+            rnd = one()
+            round_problems = check_round(workload, seed, rnd, expected,
+                                         rounds[0] if rounds else None)
+            rnd.error = "; ".join(round_problems) or None
+            rounds.append(rnd)
+            problems += [f"round {len(rounds)}: {p}" for p in round_problems]
 
     ok = [r for r in rounds if r.error is None]
     ops_per_round = next((r.ops for r in rounds if r.ops), 1)
@@ -202,9 +246,10 @@ def measure(workload, seed: int, seconds: float, expected: Optional[dict]) -> di
         failed = attempted
     metrics = {}
     if ok:
+        wall = median_per_cpu(ok)
         metrics = {
-            "wall_s": median(r.wall_s for r in ok),
-            "ops_per_s": median(r.ops / r.wall_s for r in ok),
+            "wall_s": wall,
+            "ops_per_s": ok[0].ops / wall,
             "setup_s": median(setups),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "events_per_op": ok[0].events / ok[0].ops,

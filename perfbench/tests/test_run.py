@@ -1,6 +1,7 @@
 """Op counting, the correctness check, and the runner's contract."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,33 +11,32 @@ import pytest
 
 from perfbench import run
 from perfbench.counters import component_metrics, per_layer_names, span_metrics
-from perfbench.workloads import (
-    WORKLOADS,
-    LossyWorkload,
-    ProvisionWorkload,
-    TtcpWorkload,
-)
+from perfbench.workloads import WORKLOADS, LossyWorkload, ProvisionWorkload
 from repro import units
 from repro.obs.context import Observability
 
 ROOT = Path(__file__).resolve().parents[2]
 
 
+def small_lossy() -> LossyWorkload:
+    return LossyWorkload(horizon_ns=10 * units.MS, loss=0.05)
+
+
 @pytest.fixture(scope="module")
-def ttcp_round():
-    return run.run_round(TtcpWorkload(tcp_bytes=200 * units.KB, udp_ns=units.MS), seed=0)
+def lossy_round():
+    return run.run_round(small_lossy(), seed=0)
 
 
-def test_ttcp_ops_are_physical_frames(ttcp_round):
-    rnd = ttcp_round
+def test_lossy_ops_are_physical_frames(lossy_round):
+    rnd = lossy_round
     assert rnd.error is None
-    assert len(rnd.census.sims) == 2
-    # the NIC counters every simulator publishes agree with the op count
+    assert len(rnd.census.sims) == 1
+    # the NIC counters the simulator publishes agree with the op count
     frames = sum(entry["value"]
                  for sim in rnd.census.sims
                  for name, entry in Observability.of(sim).metrics.dump().items()
                  if name.startswith("hw.nic.") and name.endswith(".tx_frames"))
-    assert rnd.ops == frames == rnd.results["tcp_frames"] + rnd.results["udp_frames"] > 0
+    assert rnd.ops == frames == rnd.results["frames"] > 0
     assert rnd.events == sum(sim.events_processed for sim in rnd.census.sims) > rnd.ops
 
 
@@ -48,34 +48,33 @@ def test_provision_ops_are_commands():
     assert rnd.setup_s is not None and rnd.setup_s > 0
 
 
-def test_lossy_ops_and_seed():
-    workload = LossyWorkload(horizon_ns=10 * units.MS, loss=0.05)
+def test_lossy_seed_drives_the_loss_stream():
+    workload = small_lossy()
     a = run.run_round(workload, seed=3)
     b = run.run_round(workload, seed=3)
     c = run.run_round(workload, seed=4)
     assert a.error is None and b.error is None and c.error is None
-    assert a.ops == a.results["frames"] > 0
     assert a.results == b.results and a.events == b.events
     assert a.results != c.results
     assert workload.sane(a.results) == []
     assert component_metrics(a.census, a.ops)["proto.retransmits_per_op"] > 0
 
 
-def test_spans_follow_the_trace_flag(ttcp_round):
-    assert all(v == 0 for v in span_metrics(ttcp_round.census).values())
-    traced = run.run_round(TtcpWorkload(tcp_bytes=200 * units.KB, udp_ns=units.MS),
-                           seed=0, spans=True)
-    assert traced.results == ttcp_round.results
+def test_spans_follow_the_trace_flag(lossy_round):
+    assert all(v == 0 for v in span_metrics(lossy_round.census).values())
+    traced = run.run_round(small_lossy(), seed=0, spans=True)
+    assert traced.results == lossy_round.results
     assert span_metrics(traced.census)["span.nic-tx.sim_ns_per_frame"] > 0
 
 
-def test_check_passes_on_recorded_results_and_fails_on_a_perturbed_one(ttcp_round):
-    workload = TtcpWorkload()
-    expected = json.loads(json.dumps(ttcp_round.results))
-    assert run.check_round(workload, 0, ttcp_round, expected, None) == []
+def test_check_passes_on_recorded_results_and_fails_on_a_perturbed_one():
+    workload = ProvisionWorkload(hosts=16)
+    rnd = run.run_round(workload, seed=0)
+    expected = json.loads(json.dumps(rnd.results))
+    assert run.check_round(workload, 0, rnd, expected, None) == []
     for key in expected:
         perturbed = dict(expected, **{key: expected[key] + 1})
-        problems = run.check_round(workload, 0, ttcp_round, perturbed, None)
+        problems = run.check_round(workload, 0, rnd, perturbed, None)
         assert len(problems) == 1 and problems[0].startswith(key)
 
 
@@ -91,7 +90,7 @@ def test_differences_walks_nested_results():
 
 
 def test_failed_round_is_reported():
-    class Broken(TtcpWorkload):
+    class Broken(LossyWorkload):
         def run(self, fixture, census):
             raise RuntimeError("boom")
 
@@ -107,7 +106,7 @@ def test_expected_results_cover_every_workload():
             assert {"0", "1"} <= set(table[name]["seeds"])
         assert run.expected_for(table, name, 0) is not None
     assert run.expected_for(table, "lossy_contention", 987654) is None
-    assert run.expected_for(table, "ttcp_10g", 987654) is not None
+    assert run.expected_for(table, "provision_fattree", 987654) is not None
 
 
 def test_benchmark_json_names_every_metric():
@@ -123,7 +122,7 @@ def test_exits_nonzero_without_the_source_tree(tmp_path):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "ttcp_10g", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", "lossy_contention", "--seed", "0",
          "--seconds", "1", "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
@@ -131,24 +130,41 @@ def test_exits_nonzero_without_the_source_tree(tmp_path):
     assert out.stdout == ""
 
 
-def test_measure_reports_host_medians(ttcp_round):
-    report = run.measure(TtcpWorkload(tcp_bytes=200 * units.KB, udp_ns=units.MS),
-                         seed=0, seconds=0.0, expected=ttcp_round.results)
+def test_measure_reports_host_medians(lossy_round):
+    report = run.measure(small_lossy(), seed=0, seconds=0.0, expected=lossy_round.results)
     assert report["correct"] and report["rounds"] == run.MIN_ROUNDS
-    assert report["attempted"] == run.MIN_ROUNDS * ttcp_round.ops
+    assert report["attempted"] == run.MIN_ROUNDS * lossy_round.ops
     assert report["failed"] == 0
     metrics = {k: v["value"] for k, v in report["metrics"].items()}
     assert list(metrics) == list(run.E2E_UNITS)
     assert metrics["wall_s"] > 0 and metrics["setup_s"] > 0
-    # an odd number of rounds, each of the same ops: the two medians agree
-    assert metrics["ops_per_s"] == pytest.approx(ttcp_round.ops / metrics["wall_s"])
-    assert metrics["events_per_op"] == ttcp_round.events / ttcp_round.ops
+    assert metrics["ops_per_s"] == lossy_round.ops / metrics["wall_s"]
+    assert metrics["events_per_op"] == lossy_round.events / lossy_round.ops
 
 
-def test_measure_counts_wrong_results_as_failed(ttcp_round):
-    wrong = dict(ttcp_round.results, tcp_bytes=ttcp_round.results["tcp_bytes"] + 1)
-    report = run.measure(TtcpWorkload(tcp_bytes=200 * units.KB, udp_ns=units.MS),
-                         seed=0, seconds=0.0, expected=wrong)
+def test_wall_time_averages_the_median_on_each_cpu():
+    def rnd(wall, cpu):
+        return run.Round({}, 1, 1, wall, None, cpu=cpu)
+
+    # CPU 0 reads 1.0 (one outlier), CPU 1 reads 3.0
+    rounds = [rnd(1.0, 0), rnd(3.0, 1), rnd(1.0, 0), rnd(3.0, 1), rnd(9.0, 0)]
+    assert run.median_per_cpu(rounds) == 2.0
+    assert run.median_per_cpu([rnd(1.0, None), rnd(5.0, None), rnd(2.0, None)]) == 2.0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_cpu_rotation_visits_every_cpu_and_restores_affinity():
+    before = os.sched_getaffinity(0)
+    with run.cpu_rotation() as next_cpu:
+        seen = [next_cpu() for _ in range(2 * len(before))]
+        assert os.sched_getaffinity(0) == {seen[-1]}
+    assert sorted(seen) == sorted(list(before) * 2)
+    assert os.sched_getaffinity(0) == before
+
+
+def test_measure_counts_wrong_results_as_failed(lossy_round):
+    wrong = dict(lossy_round.results, frames=lossy_round.results["frames"] + 1)
+    report = run.measure(small_lossy(), seed=0, seconds=0.0, expected=wrong)
     assert not report["correct"]
-    assert report["failed"] == report["attempted"] == ttcp_round.ops
-    assert report["problems"][0].startswith("round 1: tcp_bytes")
+    assert report["failed"] == report["attempted"] == lossy_round.ops
+    assert report["problems"][0].startswith("round 1: frames")

@@ -1,4 +1,4 @@
-"""The benchmark's four workloads, driven through the public ``repro`` API.
+"""The benchmark's three workloads, driven through the public ``repro`` API.
 
 Each workload has a ``setup(seed)`` that builds what one measured round
 needs (testbeds, compiled topology, calibrated flow models) and a
@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import units
-from repro.apps.ttcp import run_ttcp_tcp, run_ttcp_udp
 from repro.chaos import FaultSchedule
-from repro.config import BROADCOM_1G, NETEFFECT_10G
+from repro.config import BROADCOM_1G
 from repro.exec import Engine
 from repro.harness import clear_cache, flow_model_for
 from repro.harness.experiments import fig14
-from repro.harness.testbed import build_topo, build_vnetp
+from repro.harness.testbed import build_topo
 from repro.hw.switch import Switch
 from repro.mpi.transport import FlowTransport
 from repro.obs.context import Observability
@@ -90,38 +89,6 @@ def frames_of(testbeds) -> int:
     return sum(h.nic.tx_frames for tb in testbeds for h in tb.hosts)
 
 
-class TtcpWorkload:
-    """Fig. 8: ttcp TCP bulk transfer, then UDP goodput, VNET/P over 10G."""
-
-    name = "ttcp_10g"
-    reuse_fixture = False
-
-    def __init__(self, tcp_bytes: int = 40 * units.MB, udp_ns: int = 20 * units.MS):
-        self.tcp_bytes = tcp_bytes
-        self.udp_ns = udp_ns
-
-    def setup(self, seed: int):
-        return (build_vnetp(nic_params=NETEFFECT_10G),
-                build_vnetp(nic_params=NETEFFECT_10G))
-
-    def run(self, fixture, census: Census):
-        tb_tcp, tb_udp = fixture
-        tcp = run_ttcp_tcp(tb_tcp.endpoints[0], tb_tcp.endpoints[1],
-                           total_bytes=self.tcp_bytes)
-        udp = run_ttcp_udp(tb_udp.endpoints[0], tb_udp.endpoints[1],
-                           duration_ns=self.udp_ns)
-        results = {
-            "tcp_elapsed_ns": tcp.elapsed_ns,
-            "tcp_bytes": tcp.bytes_moved,
-            "tcp_frames": frames_of([tb_tcp]),
-            "udp_elapsed_ns": udp.elapsed_ns,
-            "udp_bytes": udp.bytes_moved,
-            "udp_sent_bytes": udp.sent_bytes,
-            "udp_frames": frames_of([tb_udp]),
-        }
-        return results, results["tcp_frames"] + results["udp_frames"]
-
-
 NAS_CONFIGS = ("native-1g", "vnetp-1g", "native-10g", "vnetp-10g")
 
 
@@ -155,7 +122,7 @@ class ProvisionWorkload:
     name = "provision_fattree"
     reuse_fixture = False
 
-    def __init__(self, hosts: int = 512):
+    def __init__(self, hosts: int = 128):
         self.hosts = hosts
 
     def setup(self, seed: int):
@@ -294,5 +261,5 @@ class LossyWorkload:
 
 WORKLOADS = {
     w.name: w
-    for w in (TtcpWorkload, NasWorkload, ProvisionWorkload, LossyWorkload)
+    for w in (NasWorkload, ProvisionWorkload, LossyWorkload)
 }
