@@ -1,17 +1,26 @@
 """VNET/P routing table with hash-cache fast path (Sect. 4.3).
 
-The table itself is an ordered list scanned linearly (the paper's design);
-a hash cache keyed on exact (src, dst) MAC pairs makes the common case a
-constant-time lookup.  Lookup *cost* is reported to the caller in
-nanoseconds so the dispatcher can charge it on the data path, letting the
-routing-cache ablation bench measure the difference.
+The table itself is an ordered route list scanned linearly (the paper's
+design); a hash cache keyed on exact (src, dst) MAC pairs makes the
+common case a constant-time lookup.  Lookup *cost* is reported to the
+caller in nanoseconds so the dispatcher can charge it on the data path,
+letting the routing-cache ablation bench measure the difference.
+
+The routes live in one insertion-ordered hashed store (a
+``dict[RouteEntry, None]``): it keeps the paper's list order for
+selection ties and listings, and makes control-plane writes cheap.
+``add`` and ``remove`` are O(1), ``load`` is O(batch), and
+``remove_matching`` / ``clear`` are O(table), so provisioning a host
+with n routes one command at a time is linear in n.  :attr:`entries` is
+a read-only tuple snapshot, so every mutation goes through the table API
+and reaches :meth:`RoutingTable._changed`.
 
 Cluster-scale tables (``repro.topo`` compiles 1000+-host topologies into
 per-host tables with hundreds to thousands of entries) made the *Python*
 linear walk the bottleneck even though the *charged* cost already models
 it.  Lookups therefore consult a lazily-built index — exact-destination
-buckets plus a wildcard-destination list — instead of scanning
-``entries``.  Because destination-exact entries always outrank
+buckets plus a wildcard-destination list — instead of scanning the
+routes.  Because destination-exact entries always outrank
 destination-wildcard ones (see :attr:`RouteEntry.specificity`), checking
 the exact bucket first and falling back to the wildcard list preserves
 the scan's selection exactly, including first-added-wins tie-breaking
@@ -19,11 +28,6 @@ within a bucket.  The **charged** cost is unchanged: a resolving lookup
 still pays ``route_table_per_entry_ns`` for every entry in the table
 (the paper's design scans the whole list), and the hash cache still
 short-circuits warm flows at ``route_cache_hit_ns``.
-
-``entries`` must be mutated through the table API (``add`` / ``remove``
-/ ``remove_matching`` / ``clear`` / ``load``): the index and the hash
-cache are invalidated from :meth:`RoutingTable._changed`, so out-of-band
-list surgery would leave lookups reading stale state.
 """
 
 from __future__ import annotations
@@ -41,12 +45,14 @@ class NoRouteError(LookupError):
 
 
 class RoutingTable:
-    """Ordered route list + (src, dst) lookup cache."""
+    """Insertion-ordered route store + (src, dst) lookup cache."""
 
     def __init__(self, costs: VnetCostParams, cache_enabled: bool = True):
         self.costs = costs
         self.cache_enabled = cache_enabled
-        self.entries: list[RouteEntry] = []
+        # Insertion-ordered hashed store: O(1) membership, add and remove,
+        # iteration in the paper's list order.  The only route container.
+        self._routes: dict[RouteEntry, None] = {}
         self._cache: dict[tuple[str, str], RouteEntry] = {}
         # Lazily rebuilt lookup index: exact-dst buckets + wildcard-dst
         # list, both in insertion order.  None = stale (rebuilt on the
@@ -58,7 +64,12 @@ class RoutingTable:
         self.cache_hits = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._routes)
+
+    @property
+    def entries(self) -> tuple[RouteEntry, ...]:
+        """The routes in insertion order, as a read-only snapshot."""
+        return tuple(self._routes)
 
     def on_change(self, listener: Callable[[], None]) -> None:
         """Register a callback fired after any table mutation.
@@ -78,7 +89,7 @@ class RoutingTable:
     def _rebuild_index(self) -> dict[str, list[RouteEntry]]:
         by_dst: dict[str, list[RouteEntry]] = {}
         wild: list[RouteEntry] = []
-        for entry in self.entries:
+        for entry in self._routes:
             if entry.dst_mac == ANY_MAC:
                 wild.append(entry)
             else:
@@ -88,9 +99,9 @@ class RoutingTable:
         return by_dst
 
     def add(self, entry: RouteEntry) -> None:
-        if entry in self.entries:
+        if entry in self._routes:
             raise ValueError(f"duplicate route: {entry}")
-        self.entries.append(entry)
+        self._routes[entry] = None
         self._changed()
 
     def load(self, entries: Iterable[RouteEntry]) -> int:
@@ -99,21 +110,26 @@ class RoutingTable:
         The topology compiler (:mod:`repro.topo.compiler`) installs
         hundreds of routes per host on cluster-scale overlays; loading
         them one :meth:`add` at a time would fire the change listeners —
-        and flush every derived cache — per entry, and pay an O(n)
-        duplicate scan per entry on top.  ``load`` extends the table in
-        one step (callers are trusted not to hand it duplicates; the
-        compiler emits each route exactly once) and notifies listeners
-        once.  Returns the number of routes added.
+        and flush every derived cache — per entry.  ``load`` extends the
+        table in one step and notifies listeners once.  Like :meth:`add`
+        it raises :class:`ValueError` on a duplicate — one repeated inside
+        the batch or one already in the table — and does so before any
+        mutation, so a rejected batch leaves the table unchanged.
+        Returns the number of routes added.
         """
-        added = list(entries)
-        self.entries.extend(added)
+        batch: dict[RouteEntry, None] = {}
+        for entry in entries:
+            if entry in self._routes or entry in batch:
+                raise ValueError(f"duplicate route: {entry}")
+            batch[entry] = None
+        self._routes.update(batch)
         self._changed()
-        return len(added)
+        return len(batch)
 
     def remove(self, entry: RouteEntry) -> None:
         try:
-            self.entries.remove(entry)
-        except ValueError:
+            del self._routes[entry]
+        except KeyError:
             raise KeyError(f"no such route: {entry}") from None
         self._changed()
 
@@ -124,23 +140,20 @@ class RoutingTable:
         dest_name: Optional[str] = None,
     ) -> int:
         """Remove routes by field filter; returns count removed."""
-        keep = []
-        removed = 0
-        for e in self.entries:
-            if (
-                (src_mac is None or e.src_mac == src_mac)
-                and (dst_mac is None or e.dst_mac == dst_mac)
-                and (dest_name is None or e.dest_name == dest_name)
-            ):
-                removed += 1
-            else:
-                keep.append(e)
-        self.entries = keep
+        doomed = [
+            e
+            for e in self._routes
+            if (src_mac is None or e.src_mac == src_mac)
+            and (dst_mac is None or e.dst_mac == dst_mac)
+            and (dest_name is None or e.dest_name == dest_name)
+        ]
+        for e in doomed:
+            del self._routes[e]
         self._changed()
-        return removed
+        return len(doomed)
 
     def clear(self) -> None:
-        self.entries.clear()
+        self._routes.clear()
         self._changed()
 
     def warm_lookup_cost(self) -> int:
@@ -153,7 +166,7 @@ class RoutingTable:
         """
         if self.cache_enabled:
             return self.costs.route_cache_hit_ns
-        return self.costs.route_table_per_entry_ns * max(1, len(self.entries))
+        return self.costs.route_table_per_entry_ns * max(1, len(self._routes))
 
     def lookup(self, src_mac: str, dst_mac: str) -> tuple[RouteEntry, int]:
         """Find the best route for (src, dst); returns (entry, lookup_cost_ns).
@@ -190,7 +203,7 @@ class RoutingTable:
                     best = entry
         # Charged cost models the paper's full linear walk over the table,
         # exactly as before the index existed (the scan never broke early).
-        cost = self.costs.route_table_per_entry_ns * max(1, len(self.entries))
+        cost = self.costs.route_table_per_entry_ns * max(1, len(self._routes))
         if best is None:
             raise NoRouteError(f"no route for src={src_mac} dst={dst_mac}")
         if self.cache_enabled:
@@ -229,6 +242,6 @@ class RoutingTable:
     def routes_to(self, dest_type: DestType, dest_name: str) -> list[RouteEntry]:
         return [
             e
-            for e in self.entries
+            for e in self._routes
             if e.dest_type is dest_type and e.dest_name == dest_name
         ]

@@ -135,11 +135,55 @@ def test_cache_invalidated_on_add_and_remove():
     assert entry.dest_name == "default"
 
 
-def test_duplicate_route_rejected():
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda t: t.add(route(MAC_A, MAC_B)),
+        # The fresh route ahead of the duplicate must not land either.
+        lambda t: t.load([route(ANY_MAC, MAC_C), route(MAC_A, MAC_B)]),
+        lambda t: t.load([route(MAC_C, MAC_A), route(ANY_MAC, MAC_C), route(MAC_C, MAC_A)]),
+    ],
+    ids=["add", "load", "load-repeats-within-batch"],
+)
+def test_duplicate_route_rejected(write):
     table = RoutingTable(COSTS)
     table.add(route(MAC_A, MAC_B))
+    fired = []
+    table.on_change(lambda: fired.append(1))
+    before = table.entries
     with pytest.raises(ValueError, match="duplicate"):
-        table.add(route(MAC_A, MAC_B))
+        write(table)
+    assert table.entries == before
+    assert fired == []
+
+
+def test_route_writes_are_linear(monkeypatch):
+    """Guard against quadratic control-plane writes.
+
+    Counts ``RouteEntry.__eq__`` calls while N distinct routes are added
+    one by one and then removed via equal (not identical) copies.  A
+    duplicate check by list scan costs ~N**2/2 comparisons; the hashed
+    store needs about one per removal.  Call counts, not wall time, so
+    the bound holds on any machine.
+    """
+    n = 2000
+    macs = [f"52:00:00:00:{i >> 8:02x}:{i & 0xff:02x}" for i in range(n)]
+    calls = 0
+    real_eq = RouteEntry.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return real_eq(self, other)
+
+    monkeypatch.setattr(RouteEntry, "__eq__", counting_eq)
+    table = RoutingTable(COSTS)
+    for m in macs:
+        table.add(route(ANY_MAC, m))
+    for m in macs:
+        table.remove(route(ANY_MAC, m))
+    assert len(table) == 0
+    assert calls <= 4 * n, f"{calls} RouteEntry.__eq__ calls for {n} adds + removes"
 
 
 def test_remove_missing_route_raises():
