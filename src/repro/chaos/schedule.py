@@ -39,8 +39,8 @@ from typing import Any, Optional
 from ..obs.context import Observability
 from ..sim import Simulator
 from ..sim.fluid import fluid_region_of
+from ..sim.pathbus import path_bus, port_scope
 from ..sim.pipeline import Port
-from ..vnet.flowcache import invalidate_for_fault
 from .stages import (
     DuplicateStage,
     FaultInjector,
@@ -78,6 +78,7 @@ class FaultSchedule:
             f"chaos.schedule.{name}.events"
         )
         self._started = False
+        self._bus = path_bus(sim)
 
     # -- builder calls (pre-run) ------------------------------------------
     def loss(self, port: Port, start_ns: int, stop_ns: Optional[int],
@@ -239,9 +240,7 @@ class FaultSchedule:
         window.stage.install(port)
         self._note(f"install {window.kind} on {window.target}")
         if window.kind in self._INVALIDATING:
-            # Timing-free flush of per-flow fast-path entries the fault
-            # could strand (see repro.vnet.flowcache invalidation rules).
-            invalidate_for_fault(self.sim, port.name)
+            self._bus.publish("chaos", *port_scope(port.name))
         if window.stop_ns is None:
             return
         yield self.sim.timeout(window.stop_ns - self.sim.now)
@@ -257,7 +256,7 @@ class FaultSchedule:
         for _ in range(window.params["cycles"]):
             stage.fail()
             self._note(f"flap down {window.target}")
-            invalidate_for_fault(self.sim, port.name)
+            self._bus.publish("chaos", *port_scope(port.name))
             yield self.sim.timeout(window.params["down_ns"])
             stage.heal()
             self._note(f"flap up {window.target}")
@@ -273,9 +272,9 @@ class FaultSchedule:
         tx_stage.install(window.params["_tx_port"])
         rx_stage.install(window.params["_rx_port"])
         self._note(f"pause host {window.target}")
-        # Host-level fault: below link granularity, so every core's
-        # compiled flows are flushed (conservative, timing-free).
-        invalidate_for_fault(self.sim, window.params["_tx_port"].name)
+        # Host-level fault: below link granularity, so it reaches every
+        # host's fast paths (conservative, timing-free).
+        self._bus.publish("chaos")
         yield self.sim.timeout(window.stop_ns - self.sim.now)
         tx_stage.remove()
         rx_stage.remove()

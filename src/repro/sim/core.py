@@ -333,8 +333,8 @@ class Simulator:
     POOL_MAX = 2048
 
     # Slotted: kernel attributes are read on every event; the extra slots
-    # host the lazily-attached observability context (obs.context) and the
-    # optional kernel self-profiler (obs.profile).
+    # host the lazily-attached observability context (obs.context), path
+    # bus (sim.pathbus) and the optional kernel self-profiler (obs.profile).
     __slots__ = (
         "_now",
         "_slots",
@@ -346,6 +346,7 @@ class Simulator:
         "_event_pool",
         "events_processed",
         "_repro_obs",
+        "_path_bus",
         "_profiler",
     )
 

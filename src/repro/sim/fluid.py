@@ -38,8 +38,9 @@ section of ``tools/simbench.py``.
 Layering: this module knows nothing about VNET/P.  The overlay-specific
 path compilation and per-hop counter charging plug in through
 :attr:`FluidRegion.compile_path` (see :mod:`repro.vnet.fluidpath`);
-paths only need ``link_tokens`` (for fault matching) and a
-``charge(data_segs, ack_segs)`` hook.
+paths only need ``link_tokens`` (``(host, link)`` overlay crossings, for
+fault matching) and a ``charge(data_segs, ack_segs)`` hook.  Path changes
+arrive through :mod:`repro.sim.pathbus`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from bisect import bisect_right, insort
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .core import Event, Simulator
+from .pathbus import path_bus
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..proto.tcp import TcpConnection
@@ -55,8 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["FluidFlow", "FluidRegion", "fluid_region_of", "max_min_rates"]
 
 # Attribute on the per-simulator Observability context carrying the
-# region singleton (mirrors the flow-cache registry idiom).
+# region singleton.
 _REGION_ATTR = "_fluid_region"
+
+# Path-bus causes scoped to one overlay link; the rest release every flow.
+_BY_LINK = frozenset({"chaos", "link-dead"})
+# Causes that skip the checkpoint when they release nothing (route changes
+# come by the thousand while a topology is provisioned).
+_ONLY_IF_RIDDEN = frozenset({"route-change", "link-dead"})
 
 
 def fluid_region_of(sim: Simulator) -> Optional["FluidRegion"]:
@@ -221,6 +229,7 @@ class FluidRegion:
             "sim.fluid.latency_ns",
             (10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000, 5_000_000),
         )
+        path_bus(sim).subscribe(self._on_path_change)
 
     @classmethod
     def ensure(cls, sim: Simulator, tuning: Any) -> "FluidRegion":
@@ -236,16 +245,9 @@ class FluidRegion:
 
     # -- registration ------------------------------------------------------
     def add_core(self, core: Any) -> None:
-        """Register a VNET/P core for path walking; route changes on any
-        registered core de-escalate every fluid flow at that instant."""
-        if core in self.cores:
-            return
-        self.cores.append(core)
-        core.routing.on_change(self._on_route_change)
-
-    def _on_route_change(self) -> None:
-        if self.flows:
-            self.deescalate_all("route-change")
+        """Register a VNET/P core for path walking."""
+        if core not in self.cores:
+            self.cores.append(core)
 
     def watch(self, conn: "TcpConnection") -> None:
         """Point ``conn``'s eligibility probe at this region."""
@@ -398,58 +400,39 @@ class FluidRegion:
             f"released flow :{conn.local_port}->{conn.remote_ip}:"
             f"{conn.remote_port} ({reason})")
 
-    def _external_release(self, victims: list[FluidFlow], reason: str) -> None:
-        """Checkpoint every active flow at *now*, then release ``victims``.
+    def _on_path_change(self, cause: str, host: Optional[str],
+                        link: Optional[str]) -> None:
+        """Path-bus handler: hand the affected flows back to packets at
+        the exact instant of the change.
 
-        The checkpoint is what makes mid-stride transitions exact: bytes
-        up to this instant moved at the old rates; the pending stride
-        timer later advances the survivors at the re-solved rates.
+        Every active flow is checkpointed at *now* first, which is what
+        makes mid-stride transitions exact: bytes up to this instant
+        moved at the old rates; the pending stride timer later advances
+        the survivors at the re-solved rates.
         """
-        now = self.sim.now
-        # list() copy: a mode switch fired from inside an advance's
-        # charge hook re-enters here and mutates self.active.
-        for flow in list(self.active):
-            self._advance_flow(flow, flow.last_advance_ns, now)
-        for flow in victims:
-            self._release(flow, reason)
-        self._recompute()
-
-    def deescalate_all(self, reason: str) -> int:
-        """Release every captured flow (route change, failover, ...)."""
-        victims = list(self.flows.values())
-        self._external_release(victims, reason)
-        return len(victims)
-
-    def on_mode_switch(self, mode: Any = None) -> None:
-        """Datapath regime change (guest/VMM-driven switch): per-packet
-        costs just changed, so every captured rate — and every stability
-        window measured under the old regime — is stale.  The probe backs
-        off so the packet path re-converges in the new regime before any
-        stability window is measured (the refill right after a release
-        can look deceptively stable at the old rate)."""
-        self.deescalate_all("mode-change")
-        next_check = self.sim.now + self.CANCEL_BACKOFF * self.check_ns
-        for st in self._watch.values():
-            st[0] = next_check
-            st[3] = -1.0
-
-    def deescalate_port(self, port_name: str, reason: str) -> int:
-        """Chaos hook: release the flows riding a faulted port.
-
-        Per-overlay-link ports (``<host>.vbridge.link.<link>``) release
-        exactly the flows whose compiled path crosses that link; any
-        other placement is below link granularity and releases all
-        (mirrors :func:`repro.vnet.flowcache.invalidate_for_fault`).
-        """
-        if ".vbridge.link." in port_name:
-            victims = [
-                f for f in self.flows.values()
-                if port_name in f.path.link_tokens
-            ]
+        if link is not None and cause in _BY_LINK:
+            victims = [f for f in self.flows.values()
+                       if (host, link) in f.path.link_tokens]
         else:
             victims = list(self.flows.values())
-        self._external_release(victims, reason)
-        return len(victims)
+        if victims or cause not in _ONLY_IF_RIDDEN:
+            now = self.sim.now
+            # list() copy: a mode switch fired from inside an advance's
+            # charge hook re-enters here and mutates self.active.
+            for flow in list(self.active):
+                self._advance_flow(flow, flow.last_advance_ns, now)
+            for flow in victims:
+                self._release(flow, cause)
+            self._recompute()
+        if cause == "mode-change":
+            # Per-packet costs just changed, so every stability window
+            # measured under the old regime is stale too: the probe backs
+            # off until the packet path re-converges (the refill right
+            # after a release can look deceptively stable at the old rate).
+            next_check = self.sim.now + self.CANCEL_BACKOFF * self.check_ns
+            for st in self._watch.values():
+                st[0] = next_check
+                st[3] = -1.0
 
     # -- the stride engine -------------------------------------------------
     def _stride_loop(self):

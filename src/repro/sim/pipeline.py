@@ -4,7 +4,7 @@
 Every hop of the simulated packet path — virtio ring, VNET/P core,
 bridge, host stack, physical NIC, link/switch — used to hand frames to
 the next layer through bespoke glue (``rx_handler`` callables,
-``attach_medium``, ``enqueue_inbound``, per-frame helper processes).
+``attach_medium``, per-frame helper processes).
 This module replaces that glue with one abstraction:
 
 * :class:`Port` — a named, unidirectional hand-off point with exactly

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..obs.context import Observability
 from ..sim import Simulator
-from ..sim.fluid import fluid_region_of
+from ..sim.pathbus import path_bus
 from .control import VnetControl
 from .monitor import TrafficMonitor
 from .overlay import DEFAULT_VNET_PORT, DestType, LinkProto, LinkSpec, RouteEntry
@@ -95,6 +95,7 @@ class AdaptationEngine:
         metrics = self.obs.metrics
         self._failovers = metrics.counter("vnet.adaptation.failovers")
         self._failbacks = metrics.counter("vnet.adaptation.failbacks")
+        self._bus = path_bus(sim)
 
     def refresh_directory(self) -> None:
         """Re-learn MAC locations (after migrations)."""
@@ -239,18 +240,10 @@ class AdaptationEngine:
             # No waypoint reachable right now; retried next pass.
             self._log(core_idx, f"link {link_name} dead; no detour available")
             return 0
-        # Flush compiled flows riding the dead link under the audit
-        # reason "failover" before the rewiring below also fires the
-        # route-change flush (belt and braces, both timing-free).
-        if core.flowcache is not None:
-            core.flowcache.invalidate_link(link_name, reason="failover")
-        region = fluid_region_of(self.sim)
-        if region is not None:
-            # The analytic fluid model is compiled against the same
-            # routes; hand affected flows back to packets at this exact
-            # instant (the rewiring below would also release them via
-            # the route-change hook — this names the cause).
-            region.deescalate_all("failover")
+        # Name the cause before the rewiring below also publishes its
+        # route changes (both timing-free), so the fast paths' audit
+        # trail reads "failover".
+        self._bus.publish("failover", core.host.name, link_name)
         saved = list(affected)
         for route in saved:
             core.routing.remove(route)
@@ -297,14 +290,10 @@ class AdaptationEngine:
             if now - record.healthy_since_ns < self.failback_backoff_ns:
                 continue
             core = self.cores[core_idx]
-            # Entries compiled against the detour must not survive the
-            # restore (the route-change flush also covers this; the
-            # explicit call names the cause in the invalidation metrics).
-            if core.flowcache is not None:
-                core.flowcache.invalidate_link(record.detour, reason="failback")
-            region = fluid_region_of(self.sim)
-            if region is not None:
-                region.deescalate_all("failback")
+            # Paths compiled against the detour must not survive the
+            # restore (its route changes also publish; this names the
+            # cause).
+            self._bus.publish("failback", core.host.name, record.detour)
             for route in record.saved_routes:
                 core.routing.remove_matching(
                     src_mac=route.src_mac,

@@ -18,6 +18,7 @@ Inbound packets from the bridge go through a receive queue served by
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from ..config import VnetMode, VnetTuning
@@ -30,6 +31,7 @@ from ..obs.span import (
 )
 from ..proto.ethernet import BROADCAST_MAC, EthernetFrame
 from ..sim import CopyCharger, PacketStage, Simulator, Store, Tracer
+from ..sim.pathbus import path_bus
 from .dispatcher import ModeController, YieldState
 from .flowcache import FlowCache, FlowCacheEntry
 from .heartbeat import HeartbeatFrame
@@ -60,15 +62,18 @@ class VnetCore(PacketStage):
         self.costs = host.params.vnet_costs
         self.tracer = tracer or Tracer()
         self.routing = RoutingTable(self.costs, cache_enabled=self.tuning.routing_cache)
-        # Per-flow fast path (ONCache-style, see repro.vnet.flowcache):
-        # subscribes to routing changes so a compiled flow can never
+        # Every table mutation is published once on the path bus, where
+        # the fast paths below subscribe, so a compiled flow can never
         # outlive the route it was compiled from.
+        self.routing.on_change(
+            partial(path_bus(sim).publish, "route-change", host.name)
+        )
+        # Per-flow fast path (ONCache-style, see repro.vnet.flowcache).
         self.flowcache: Optional[FlowCache] = (
             FlowCache(sim, self) if self.tuning.flow_cache else None
         )
         # Hybrid fluid/packet fast path (repro.sim.fluid): registering
-        # the core lets the region compile overlay paths through it and
-        # subscribes fluid flows to this table's route changes.
+        # the core lets the region compile overlay paths through it.
         self.fluid_region = None
         if self.tuning.fluid:
             from .fluidpath import install_fluid
@@ -175,13 +180,6 @@ class VnetCore(PacketStage):
         self.if_specs[spec.name] = spec
         self.if_by_mac[spec.mac] = nic
         self.controllers[spec.name] = ModeController(self.sim, nic, self.tuning)
-        if self.fluid_region is not None:
-            # A guest/VMM mode switch changes per-packet datapath costs,
-            # so any analytic rate captured under the old mode is stale:
-            # de-escalate at the exact switch instant.
-            self.controllers[spec.name].on_switch.append(
-                self.fluid_region.on_mode_switch
-            )
         nic.register_backend(self._make_kick_handler(spec.name))
         # One or more dispatcher threads per NIC (Fig. 4: idle cores can be
         # employed to raise packet-forwarding bandwidth).
@@ -516,13 +514,6 @@ class VnetCore(PacketStage):
 
     # PacketStage entry point (what ``inbound`` is wired to).
     ingress = _accept_inbound
-
-    def enqueue_inbound(self, frame: EthernetFrame) -> None:
-        """Bridge upcall: an unencapsulated guest frame arrived from outside.
-
-        Legacy name; equivalent to ``core.inbound.push(frame)``.
-        """
-        self.inbound.push(frame)
 
     def _rx_dispatcher(self, index: int):
         """Inbound packet dispatcher thread (one of ``n_dispatchers``)."""

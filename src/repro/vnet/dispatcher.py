@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from ..config import VnetMode, VnetTuning, YieldStrategy
 from ..obs.context import Observability
 from ..sim import Signal, Simulator
+from ..sim.pathbus import path_bus
 from ..units import SECOND
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,10 +39,10 @@ class ModeController:
         # Adaptive operation starts in guest-driven mode (low-rate optimum).
         self.mode = VnetMode.GUEST_DRIVEN if self.adaptive else tuning.mode
         self.mode_changed = Signal(sim, f"{nic.name}.modechg")
-        # Synchronous observers of mode switches (the Signal above wakes
-        # waiting processes on the *next* kernel round; the fluid fast
-        # path needs the exact switch instant to de-escalate).
-        self.on_switch: list = []
+        # The Signal above wakes waiting processes on the *next* kernel
+        # round; the path bus tells the fast paths at the switch instant.
+        self._bus = path_bus(sim)
+        self._host = nic.vm.vmm.host.name
         metrics = Observability.of(sim).metrics
         self._switches = metrics.counter(f"vnet.mode.{nic.name}.switches")
         # Gauge mirrors the current mode for snapshots: 0 = guest-driven,
@@ -82,8 +83,7 @@ class ModeController:
         self.mode = mode
         self._switches.inc()
         self._apply()
-        for callback in self.on_switch:
-            callback(mode)
+        self._bus.publish("mode-change", self._host)
         self.mode_changed.fire(mode)
 
 

@@ -31,27 +31,15 @@ Two cost models, selected by :class:`~repro.config.VnetTuning`:
   This intentionally changes simulated time and is for ablation
   experiments, never for the golden scenarios.
 
-Invalidation rules (a cached route must never outlive its inputs):
-
-1. **route-table change** — any add/remove/clear on the owning core's
-   :class:`~repro.vnet.routing.RoutingTable` fires its change listeners
-   and flushes the whole cache (reason ``route-change``);
-2. **failover / failback** — :meth:`repro.vnet.adaptation.AdaptationEngine.failover`
-   and its failback pass invalidate explicitly (reasons ``failover`` /
-   ``failback``), in addition to the route-change flush their rewiring
-   already triggers, so the audit trail names the cause;
-3. **liveness verdicts** — :meth:`repro.vnet.monitor.TrafficMonitor.dead_links`
-   drops the entries riding a link the phi detector just declared dead
-   (reason ``link-dead``);
-4. **chaos faults** — :class:`repro.chaos.FaultSchedule` calls
-   :func:`invalidate_for_fault` when a partition/flap/pause/loss window
-   installs or a flap goes down (reason ``chaos``): entries through the
-   faulted overlay link are dropped, or the whole cache when the fault
-   sits below link granularity (a NIC or switch port).
-
-All invalidation is timing-free (dict clears; no simulated events), so
-every rule is observable-neutral under the timing-neutral cost model:
-the next packet of an affected flow simply re-walks the full chain.
+Invalidation: a cached route must never outlive its inputs.  The cache
+subscribes one handler to the simulator's
+:class:`~repro.sim.pathbus.PathBus` for its own host and drops the
+entries riding the changed link, or every entry when the change names no
+link; the causes, their publishers and their scopes are tabulated in
+``docs/performance.md`` ("Invalidation rules").  Invalidation is
+timing-free (dict clears; no simulated events), so under the
+timing-neutral cost model the next packet of an affected flow simply
+re-walks the full chain and no observable moves.
 
 Metrics live under ``vnet.flowcache.<host>.*`` (hits, misses, installs,
 invalidated entries, per-reason invalidation events, entry-count gauge);
@@ -68,7 +56,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..obs.context import Observability
 from ..sim import PacketStage, Simulator
-from ..sim.fluid import fluid_region_of
+from ..sim.pathbus import path_bus
 from .overlay import DestType, LinkProto, LinkSpec, RouteEntry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,28 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.pipeline import Port
     from .core import VnetCore
 
-__all__ = [
-    "FlowCache",
-    "FlowCacheEntry",
-    "FlowPath",
-    "caches_of",
-    "invalidate_for_fault",
-]
-
-# Attribute on the per-simulator Observability context that carries the
-# registry of live FlowCaches (one per VnetCore); chaos schedules use it
-# to reach every cache without the cores knowing about chaos.
-_REGISTRY_ATTR = "_flow_caches"
-
-
-def caches_of(sim: Simulator) -> list["FlowCache"]:
-    """Every live :class:`FlowCache` of ``sim`` (registered at build time)."""
-    obs = Observability.of(sim)
-    caches = getattr(obs, _REGISTRY_ATTR, None)
-    if caches is None:
-        caches = []
-        setattr(obs, _REGISTRY_ATTR, caches)
-    return caches
+__all__ = ["FlowCache", "FlowCacheEntry", "FlowPath"]
 
 
 class FlowPath:
@@ -183,9 +150,7 @@ class FlowCache(PacketStage):
         self._invalidated = metrics.counter(f"{prefix}.invalidated_entries")
         self._invalidations = metrics.labeled(f"{prefix}.invalidations")
         self._entries_gauge = metrics.gauge(f"{prefix}.entries")
-        caches_of(sim).append(self)
-        # Rule 1: any route-table mutation flushes the compiled flows.
-        core.routing.on_change(self._on_route_change)
+        path_bus(sim).subscribe(self._on_path_change, core.host.name)
 
     # -- statistics (registry-backed, read-only views) --------------------
     @property
@@ -265,40 +230,25 @@ class FlowCache(PacketStage):
         return entry
 
     # -- invalidation ------------------------------------------------------
-    def invalidate_all(self, reason: str) -> int:
-        """Drop every entry; returns the number dropped."""
-        dropped = len(self.entries)
-        if dropped:
-            self.entries.clear()
-            self._invalidated.inc(dropped)
-            self._entries_gauge.set(0)
-        self._invalidations.inc(reason)
-        return dropped
-
-    def invalidate_link(self, link_name: str, reason: str) -> int:
-        """Drop the entries whose fast path rides ``link_name``."""
-        stale = [key for key, e in self.entries.items()
-                 if e.path is not None and e.path.link_name == link_name]
+    def _on_path_change(self, cause: str, host: Optional[str],
+                        link: Optional[str]) -> None:
+        """Path-bus handler: drop the entries riding ``link`` (every
+        entry when ``link`` is ``None``), counted under ``cause``."""
+        # A mode switch changes per-packet costs, not forwarding decisions.
+        if cause == "mode-change":
+            return
+        entries = self.entries
+        if link is None:
+            stale = list(entries)
+        else:
+            stale = [key for key, e in entries.items()
+                     if e.path is not None and e.path.link_name == link]
         for key in stale:
-            del self.entries[key]
+            del entries[key]
         if stale:
             self._invalidated.inc(len(stale))
-            self._entries_gauge.set(len(self.entries))
-        self._invalidations.inc(reason)
-        return len(stale)
-
-    def invalidate_flow(self, src: str, dst: str, reason: str) -> int:
-        """Drop one flow's entry (0 or 1 entries)."""
-        entry = self.entries.pop((src, dst), None)
-        if entry is None:
-            return 0
-        self._invalidated.inc()
-        self._entries_gauge.set(len(self.entries))
-        self._invalidations.inc(reason)
-        return 1
-
-    def _on_route_change(self) -> None:
-        self.invalidate_all("route-change")
+            self._entries_gauge.set(len(entries))
+        self._invalidations.inc(cause)
 
     # -- observability -----------------------------------------------------
     def register_hit_rate(self, timeline: "Timeline",
@@ -328,33 +278,3 @@ class FlowCache(PacketStage):
             "invalidated_entries": self.invalidated_entries,
             "hit_rate": self.hit_rate,
         }
-
-
-def invalidate_for_fault(sim: Simulator, port_name: str) -> int:
-    """Chaos hook: flush cached flows a just-installed fault could strand.
-
-    ``port_name`` identifies where the injector sits.  Per-overlay-link
-    egress filters (``<host>.vbridge.link.<link>``) invalidate exactly
-    that link's entries on that host's cache; any other placement (a
-    physical NIC, a switch port, a core inbound port) is below link
-    granularity, so every cache on the simulator is flushed outright.
-    Timing-free either way — under the neutral cost model the observable
-    schedule is unchanged.  Returns total entries dropped.
-    """
-    dropped = 0
-    marker = ".vbridge.link."
-    if marker in port_name:
-        host, link = port_name.split(marker, 1)
-        for cache in caches_of(sim):
-            if cache.core.host.name == host:
-                dropped += cache.invalidate_link(link, reason="chaos")
-    else:
-        for cache in caches_of(sim):
-            dropped += cache.invalidate_all("chaos")
-    # The fluid fast path de-escalates at the same instant, for the same
-    # reason: a fault on the path invalidates the analytic model just as
-    # it invalidates a compiled forwarding decision.
-    region = fluid_region_of(sim)
-    if region is not None:
-        region.deescalate_port(port_name, "chaos")
-    return dropped

@@ -2,8 +2,9 @@
 
 :mod:`repro.sim.fluid` is overlay-agnostic: the region only needs, per
 captured flow, (a) the set of overlay links the flow traverses — as the
-same ``<host>.vbridge.link.<link>`` tokens the chaos injector names, so
-fault installs release exactly the right flows — and (b) a ``charge``
+same ``(host, link)`` pairs path-bus faults are scoped to (see
+:func:`repro.sim.pathbus.port_scope`), so fault installs and dead-link
+verdicts release exactly the right flows — and (b) a ``charge``
 hook that applies aggregate per-hop counter updates for a stride's worth
 of segments.  This module supplies both by walking the registered cores'
 routing tables (via the side-effect-free :meth:`RoutingTable.peek`, so
@@ -74,8 +75,8 @@ class _Hops:
         # would (tx dispatch on the source NIC, guest delivery on the
         # destination): the Fig. 6 rate estimate must keep seeing the
         # modeled traffic or a fluid flow would freeze mode selection.
-        # A switch fired here re-enters the region via on_mode_switch and
-        # releases the flows at this precise instant.
+        # A switch fired here re-enters the region through the path bus
+        # and releases the flows at this precise instant.
         if self.src_ctl is not None:
             self.src_ctl.note_packet(segs)
         if self.dst_ctl is not None:
@@ -97,13 +98,10 @@ class VnetFluidPath:
     def __init__(self, fwd: _Hops, rev: _Hops):
         self.fwd = fwd
         self.rev = rev
-        tokens = set()
-        for hops in (fwd, rev):
-            for core, link, _nxt in hops.links:
-                # The exact port name flowcache.invalidate_for_fault and
-                # the chaos injector use for this overlay crossing.
-                tokens.add(f"{core.host.name}.vbridge.link.{link.name}")
-        self.link_tokens = frozenset(tokens)
+        self.link_tokens = frozenset(
+            (core.host.name, link.name)
+            for hops in (fwd, rev) for core, link, _nxt in hops.links
+        )
 
     def charge(self, data_segs: int, ack_segs: int) -> None:
         if data_segs:

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..obs.context import Observability
 from ..sim import Simulator
+from ..sim.pathbus import path_bus
 from ..units import SECOND
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,6 +101,7 @@ class TrafficMonitor:
         self.phi_threshold = phi_threshold
         self.obs = Observability.of(sim)
         self._known_dead: set[str] = set()
+        self._bus = path_bus(sim)
         metrics = self.obs.metrics
         prefix = f"vnet.monitor.{core.host.name}"
         self._health_monitor = prefix
@@ -226,11 +228,10 @@ class TrafficMonitor:
             log.emit(self.sim.now, self._health_monitor, "link-dead",
                      "critical", f"link {name} silent (phi > "
                      f"{self.phi_threshold:g})", self.phi(name))
-            # A dead verdict immediately disqualifies every compiled
-            # flow riding the link: the per-flow fast path must never
-            # serve a route the detector has condemned.
-            if self.core.flowcache is not None:
-                self.core.flowcache.invalidate_link(name, reason="link-dead")
+            # A dead verdict immediately disqualifies every fast path
+            # riding the link: neither a compiled flow nor a fluid flow
+            # may keep using a route the detector has condemned.
+            self._bus.publish("link-dead", self.core.host.name, name)
         for name in sorted(self._known_dead - now_dead):
             log.emit(self.sim.now, self._health_monitor, "link-recovered",
                      "info", f"link {name} heartbeating again",

@@ -63,6 +63,9 @@ def test_checker_requires_flowcache_and_performance_doc(tmp_path):
     assert "vnet/flowcache.py" in mod.REQUIRED_MODULES
     assert "docs/performance.md" in mod.REQUIRED_DOCS
     assert "vnet/flowcache.py" in mod.EXTRA_SWEEP_MODULES
+    # So is the path bus both fast paths invalidate through.
+    assert "sim/pathbus.py" in mod.REQUIRED_MODULES
+    assert "sim/pathbus.py" in mod.EXTRA_SWEEP_MODULES
 
     vnet = tmp_path / "src" / "repro" / "vnet"
     vnet.mkdir(parents=True)

@@ -16,8 +16,8 @@ from repro.config import NETEFFECT_10G, VnetTuning
 from repro.harness.testbed import build_vnetp
 from repro.obs.context import Observability
 from repro.proto.base import Blob
+from repro.sim.pathbus import path_bus, port_scope
 from repro.vnet.adaptation import AdaptationEngine
-from repro.vnet.flowcache import caches_of, invalidate_for_fault
 from repro.vnet.heartbeat import HeartbeatService
 from repro.vnet.overlay import DestType, RouteEntry
 
@@ -47,18 +47,33 @@ def test_hit_miss_accounting():
     assert snap["vnet.flowcache.h0.misses"] == cache.misses
 
 
-def test_cache_registry_lists_every_core():
+def _chaos_counts(sim):
+    """``vnet.flowcache.<host>.invalidations.chaos`` of every cache."""
+    snap = Observability.of(sim).metrics.snapshot("vnet.flowcache.")
+    return {name.split(".")[2]: value for name, value in snap.items()
+            if name.endswith(".invalidations.chaos")}
+
+
+def _fault(sim, port):
+    """Publish a chaos fault on ``port`` the way FaultSchedule does."""
+    path_bus(sim).publish("chaos", *port_scope(port.name))
+
+
+def test_bus_reaches_every_core_cache():
     tb = build_vnetp(nic_params=NETEFFECT_10G, n_hosts=3)
-    caches = caches_of(tb.sim)
-    assert len(caches) == 3
-    assert {c.core for c in caches} == set(tb.cores)
+    path_bus(tb.sim).publish("chaos")
+    counts = _chaos_counts(tb.sim)
+    assert len(counts) == 3
+    assert set(counts) == {c.host.name for c in tb.cores}
+    assert all(v == 1 for v in counts.values())
 
 
 def test_flow_cache_can_be_disabled():
     tb = build_vnetp(nic_params=NETEFFECT_10G, tuning=_tuning(flow_cache=False))
     assert tb.cores[0].flowcache is None
     run_ping(tb.endpoints[0], tb.endpoints[1], count=3)  # datapath intact
-    assert caches_of(tb.sim) == []
+    path_bus(tb.sim).publish("chaos")
+    assert _chaos_counts(tb.sim) == {}
 
 
 def test_env_override_disables_default(monkeypatch):
@@ -129,10 +144,9 @@ def test_chaos_partition_invalidates_exactly_that_link():
     links_cached = {e.path.link_name for e in cache.entries.values()
                     if e.path is not None}
     assert {"to1", "to2"} <= links_cached
-    n_before = len(cache)
-    dropped = invalidate_for_fault(
-        tb.sim, tb.hosts[0].vnet_bridge.link_out("to1").name
-    )
+    n_before, dropped_before = len(cache), cache.invalidated_entries
+    _fault(tb.sim, tb.hosts[0].vnet_bridge.link_out("to1"))
+    dropped = cache.invalidated_entries - dropped_before
     assert dropped >= 1
     assert len(cache) == n_before - dropped
     remaining = {e.path.link_name for e in cache.entries.values()
@@ -140,7 +154,7 @@ def test_chaos_partition_invalidates_exactly_that_link():
     assert "to1" not in remaining
     assert "to2" in remaining
     # A fault below link granularity (the physical NIC) flushes everything.
-    invalidate_for_fault(tb.sim, tb.hosts[0].nic.tx_port.name)
+    _fault(tb.sim, tb.hosts[0].nic.tx_port)
     assert len(cache) == 0
 
 
@@ -275,8 +289,9 @@ def test_rx_invalidation_recompiles_mid_stream():
     run_ping(a, b, count=5)
     cache = tb.cores[1].flowcache
     assert len(cache) > 0
-    installs_before = cache.installs
-    dropped = invalidate_for_fault(tb.sim, tb.hosts[1].nic.rx_port.name)
+    installs_before, dropped_before = cache.installs, cache.invalidated_entries
+    _fault(tb.sim, tb.hosts[1].nic.rx_port)
+    dropped = cache.invalidated_entries - dropped_before
     assert dropped >= 1
     assert len(cache) == 0
     run_ping(a, b, count=3)

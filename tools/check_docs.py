@@ -69,6 +69,7 @@ REQUIRED_MODULES = (
     "obs/convergence.py",
     "vnet/flowcache.py",
     "sim/fluid.py",
+    "sim/pathbus.py",
     "vnet/fluidpath.py",
     "topo/model.py",
     "topo/generators.py",
@@ -89,6 +90,7 @@ REQUIRED_DOCS = (
 EXTRA_SWEEP_MODULES = (
     "vnet/flowcache.py",
     "sim/fluid.py",
+    "sim/pathbus.py",
     "vnet/fluidpath.py",
     "harness/experiments/fairness.py",
 )
