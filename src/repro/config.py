@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .units import Gbps, usec
+from .units import Gbps, tx_time_ns, usec
 
 __all__ = [
     "CPUParams",
@@ -91,8 +91,6 @@ class NICParams:
     tx_queue_frames: int = 512
 
     def serialize_ns(self, nbytes: int) -> int:
-        from .units import tx_time_ns
-
         return tx_time_ns(nbytes + self.header_bytes, self.rate_bps)
 
 

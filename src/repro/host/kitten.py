@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..config import HostParams, NICParams, VnetTuning, default_host
+from ..config import KITTEN_NOISE, HostParams, NICParams, VnetTuning, default_host
 from ..hw.cpu import CPU
 from ..hw.link import Link
 from ..hw.memory import MemorySystem
 from ..hw.nic import PhysicalNIC
 from ..palacios.vmm import PalaciosVMM
 from ..proto.ethernet import BROADCAST_MAC, EthernetFrame, mac_addr
-from ..sim import PacketStage, Simulator, Store
+from ..sim import BoundedDraws, PacketStage, RandomStreams, Simulator, Store
 from ..vnet.core import VnetCore
 from ..vnet.overlay import DestType, InterfaceSpec, LinkProto, LinkSpec, RouteEntry
 
@@ -144,18 +144,12 @@ class KittenHost:
         self.vmm: Optional[PalaciosVMM] = None
         self.vnet_core = None
         self.vnet_bridge = None
-        from ..config import KITTEN_NOISE
-        from ..sim import RandomStreams
-
         self._noise_params = KITTEN_NOISE
-        self._noise_rng = RandomStreams(seed=0).stream(f"{self.name}.noise")
+        self._noise = BoundedDraws(RandomStreams(seed=0).stream(f"{self.name}.noise"))
 
     def wakeup_noise_ns(self) -> int:
         """Kitten is a low-noise LWK: almost no scheduling jitter (Sect. 6.3)."""
-        jitter = self._noise_params.jitter_max_ns
-        if jitter <= 0:
-            return 0
-        return int(self._noise_rng.integers(0, jitter + 1))
+        return self._noise.draw(self._noise_params.jitter_max_ns)
 
 
 def build_vnetp_kitten(

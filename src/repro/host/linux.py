@@ -39,7 +39,9 @@ class EthernetDevice(PacketStage):
             raise ValueError(
                 f"{self.name}: frame payload {frame.payload_size} B > MTU {self.mtu}"
             )
-        yield self.nic.txq.put(frame)
+        txq = self.nic.txq
+        if not (self.sim.quiet() and txq.try_put(frame)):
+            yield txq.put(frame)
 
     def try_send(self, frame: EthernetFrame) -> bool:
         return self.nic.send(frame)

@@ -10,7 +10,7 @@ from ..hw.memory import MemorySystem
 from ..hw.nic import PhysicalNIC
 from ..proto.ethernet import mac_addr
 from ..proto.stack import Stack
-from ..sim import RandomStreams, Simulator, Tracer
+from ..sim import BoundedDraws, RandomStreams, Simulator, Tracer
 from .linux import EthernetDevice
 
 __all__ = ["Host"]
@@ -50,7 +50,7 @@ class Host:
         self.dev.bind(self.stack)
         # Seeded by name (not creation order) so identical testbeds built
         # in one process behave identically — determinism tests rely on it.
-        self._noise_rng = RandomStreams(seed=0).stream(f"{self.name}.noise")
+        self._noise = BoundedDraws(RandomStreams(seed=0).stream(f"{self.name}.noise"))
         # Populated when a VM / VNET components are instantiated on this host.
         self.vmm = None
         self.vnet_core = None
@@ -58,10 +58,7 @@ class Host:
 
     def wakeup_noise_ns(self) -> int:
         """One sample of OS scheduling noise (Linux: up to a few us)."""
-        jitter = self.params.noise.jitter_max_ns
-        if jitter <= 0:
-            return 0
-        return int(self._noise_rng.integers(0, jitter + 1))
+        return self._noise.draw(self.params.noise.jitter_max_ns)
 
     def add_neighbor(self, other: "Host") -> None:
         """Static ARP entry for a peer host on the same L2 segment."""

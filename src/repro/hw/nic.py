@@ -125,8 +125,13 @@ class PhysicalNIC(PacketStage):
     def _tx_loop(self):
         params = self.params
         tx_port = self.tx_port
+        sim = self.sim
+        txq = self.txq
         while True:
-            frame = yield self.txq.get()
+            if txq.items and sim.quiet():
+                frame = txq.try_get()
+            else:
+                frame = yield txq.get()
             if not tx_port.connected:
                 raise RuntimeError(f"NIC {self.name} transmitting while unattached")
             with self.obs.spans.span(

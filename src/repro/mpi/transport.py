@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional, Protocol
 
-from ..config import MPIParams
+from ..config import DEFAULT_MPI, MPIParams
 from ..sim import Resource, Simulator
+from .message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..harness.testbed import Endpoint
@@ -58,8 +59,6 @@ class SocketTransport:
         rank_map: Optional[list[int]] = None,
         params: Optional[MPIParams] = None,
     ):
-        from ..config import DEFAULT_MPI
-
         self.endpoints = endpoints
         self.params = params or DEFAULT_MPI
         self.sim: Simulator = endpoints[0].stack.sim
@@ -126,8 +125,6 @@ class SocketTransport:
 
     # -- data path ------------------------------------------------------------------
     def send(self, src: int, dst: int, nbytes: int, tag: int, meta: Any):
-        from .api import Message
-
         params = self.params
         msg = Message(src=src, tag=tag, nbytes=nbytes, meta=meta, dst=dst)
         yield self.sim.timeout(
@@ -158,8 +155,6 @@ class SocketTransport:
 
     def _rx_pump(self, channel):
         """Drain a channel into mailboxes, charging receive-side copies."""
-        from .api import Message
-
         while True:
             try:
                 msg: Message = yield from channel.recv_message()
@@ -231,8 +226,6 @@ class FlowTransport:
         ranks_per_node: int = 1,
         params: Optional[MPIParams] = None,
     ):
-        from ..config import DEFAULT_MPI
-
         self.sim = sim
         self.n_nodes = n_nodes
         self.model = model
@@ -258,8 +251,6 @@ class FlowTransport:
         return rank // self.ranks_per_node
 
     def send(self, src: int, dst: int, nbytes: int, tag: int, meta: Any):
-        from .api import Message
-
         params = self.params
         msg = Message(src=src, tag=tag, nbytes=nbytes, meta=meta, dst=dst)
         self.messages += 1

@@ -260,7 +260,8 @@ class KernelProfiler:
 
         Called *by* the kernel when this profiler is installed and
         enabled; mirrors both loop variants (run-until-event and
-        run-to-deadline) including event pooling, crash propagation and
+        run-to-deadline) including event pooling, crash propagation, the
+        fan-out flag read by :meth:`Simulator.quiet` and
         ``events_processed`` accounting, with per-event timestamping
         layered on.
         """
@@ -308,8 +309,16 @@ class KernelProfiler:
                     callbacks = event.callbacks
                     if callbacks:
                         event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
+                        # The awaited event also carries the interest
+                        # callback above, so a process it resumes sees
+                        # quiet() false: run() returns right after it.
+                        if len(callbacks) == 1:
+                            sim._solo = True
+                            callbacks[0](event)
+                            sim._solo = False
+                        else:
+                            for cb in callbacks:
+                                cb(event)
                     if sim._crashed is not None:
                         exc, sim._crashed = sim._crashed, None
                         raise exc
@@ -356,8 +365,13 @@ class KernelProfiler:
                 callbacks = event.callbacks
                 if callbacks:
                     event.callbacks = []
-                    for cb in callbacks:
-                        cb(event)
+                    if len(callbacks) == 1:
+                        sim._solo = True
+                        callbacks[0](event)
+                        sim._solo = False
+                    else:
+                        for cb in callbacks:
+                            cb(event)
                 if sim._crashed is not None:
                     exc, sim._crashed = sim._crashed, None
                     raise exc
@@ -382,6 +396,7 @@ class KernelProfiler:
                 sim._now = deadline
             return None
         finally:
+            sim._solo = False
             sim.events_processed += processed
             self.events += processed
             self.advance_ns += advance_ns

@@ -371,9 +371,14 @@ class Stack:
 
     def _softirq_loop(self):
         params = self.params
+        sim = self.sim
+        rxq = self._rxq
         while True:
-            blocked = len(self._rxq) == 0
-            dev, frame = yield self._rxq.get()
+            blocked = len(rxq) == 0
+            if blocked or not sim.quiet():
+                dev, frame = yield rxq.get()
+            else:
+                dev, frame = rxq.try_get()
             if blocked:
                 with self.obs.spans.span(
                     STAGE_SOFTIRQ_WAKE, who=self.name, where=self.where

@@ -13,7 +13,7 @@ from .core import (
 )
 from .pipeline import CopyCharger, PacketStage, Port
 from .primitives import Resource, Signal, Store
-from .rng import RandomStreams
+from .rng import BoundedDraws, RandomStreams
 from .trace import SampleStats, Tracer
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "Resource",
     "Signal",
     "Store",
+    "BoundedDraws",
     "RandomStreams",
     "SampleStats",
     "Tracer",

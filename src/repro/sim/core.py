@@ -307,7 +307,7 @@ class Simulator:
     plain ints, and the heap only grows with the number of distinct
     future times rather than the number of pending events.
 
-    Three fast paths keep the per-event cost low without changing the
+    Four fast paths keep the per-event cost low without changing the
     observable schedule:
 
     * **immediate queue** — a zero-delay event goes straight onto a FIFO
@@ -327,6 +327,10 @@ class Simulator:
       :meth:`step` still references it, so user code that holds onto an
       event (conditions, queued waiters, saved timers) is never handed a
       reused object.
+    * **quiet-instant hand-offs** — :meth:`quiet` tells a process that an
+      event it triggers now and yields at once would be the very next
+      event the kernel processes, so it may take the hand-off in place
+      instead of yielding (see :meth:`quiet` for the invariant).
     """
 
     #: Upper bound on each free list; beyond this, events are left to the GC.
@@ -348,6 +352,7 @@ class Simulator:
         "_repro_obs",
         "_path_bus",
         "_profiler",
+        "_solo",
     )
 
     def __init__(self):
@@ -365,6 +370,10 @@ class Simulator:
         # instrumented loop only while one is installed *and* enabled, so
         # the cost when idle is one attribute check per run() call.
         self._profiler = None
+        # The fan-out flag: True only while a run loop executes the sole
+        # callback of the event it is processing and will go straight on
+        # to the next immediate event.  See quiet().
+        self._solo = False
 
     @property
     def now(self) -> int:
@@ -374,6 +383,26 @@ class Simulator:
     @property
     def active_process(self) -> Optional[Process]:
         return self._active_proc
+
+    def quiet(self) -> bool:
+        """Whether nothing else is due at this instant.
+
+        True when (a) a run loop is executing the only callback of the
+        event it is processing, so no further callback of that event is
+        left to run, and (b) the immediate queue is empty.  An event the
+        caller triggers now and yields straight away would then be the
+        very next event the kernel processes, with nothing in between:
+        the caller may complete that hand-off in place (``try_put``,
+        ``try_get``, ``try_acquire``) and continue instead of yielding.
+        Skipping the event cannot reorder anything, so the schedule is
+        identical by construction.
+
+        The caller of the kernel may act between two events where control
+        returns to it, so no hand-off may be skipped there: :meth:`step`
+        never sets the flag, and the awaited event of ``run(until=event)``
+        always has more than one callback.
+        """
+        return self._solo and not self._immediate
 
     # -- factory helpers ---------------------------------------------------
     def event(self) -> Event:
@@ -450,7 +479,11 @@ class Simulator:
         return self._times[0] if self._times else None
 
     def step(self) -> None:
-        """Process a single event."""
+        """Process a single event.
+
+        Control returns to the caller after every event, so :meth:`quiet`
+        stays false in here (the fan-out flag is only set by :meth:`run`).
+        """
         immediate = self._immediate
         if not immediate:
             when = heapq.heappop(self._times)
@@ -487,8 +520,10 @@ class Simulator:
         The event loop is inlined here (hot kernel state — slot array,
         immediate queue, free lists — lives in locals for the whole run)
         rather than calling :meth:`step` per event; :meth:`step` remains
-        the single-event reference implementation and the two are
-        behaviour-identical.
+        the single-event reference implementation and the two produce
+        the same schedule (only this loop sets the fan-out flag that
+        :meth:`quiet` reads, so a process may skip events here that
+        :meth:`step` would process one by one).
         """
         profiler = self._profiler
         if profiler is not None and profiler.enabled:
@@ -528,8 +563,16 @@ class Simulator:
                     callbacks = event.callbacks
                     if callbacks:
                         event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
+                        # The awaited event also carries the interest
+                        # callback above, so a process it resumes sees
+                        # quiet() false: run() returns right after it.
+                        if len(callbacks) == 1:
+                            self._solo = True
+                            callbacks[0](event)
+                            self._solo = False
+                        else:
+                            for cb in callbacks:
+                                cb(event)
                     if self._crashed is not None:
                         exc, self._crashed = self._crashed, None
                         raise exc
@@ -564,8 +607,13 @@ class Simulator:
                 callbacks = event.callbacks
                 if callbacks:
                     event.callbacks = []
-                    for cb in callbacks:
-                        cb(event)
+                    if len(callbacks) == 1:
+                        self._solo = True
+                        callbacks[0](event)
+                        self._solo = False
+                    else:
+                        for cb in callbacks:
+                            cb(event)
                 if self._crashed is not None:
                     exc, self._crashed = self._crashed, None
                     raise exc
@@ -583,4 +631,6 @@ class Simulator:
                 self._now = deadline
             return None
         finally:
+            # A callback that raised may have left the flag set.
+            self._solo = False
             self.events_processed += processed

@@ -187,6 +187,13 @@ class Resource:
             self._waiters.append(evt)
         return evt
 
+    def try_acquire(self) -> bool:
+        """Non-blocking :meth:`request`: take a free slot, or return False."""
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         if self.in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")

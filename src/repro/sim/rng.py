@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["RandomStreams"]
+__all__ = ["RandomStreams", "BoundedDraws"]
 
 
 class RandomStreams:
@@ -30,3 +30,37 @@ class RandomStreams:
             gen = np.random.default_rng(np.random.SeedSequence([self.seed, key]))
             self._streams[name] = gen
         return gen
+
+
+class BoundedDraws:
+    """Uniform integers in ``[0, high]`` from one stream, drawn in blocks.
+
+    One ``Generator.integers(..., size=BLOCK)`` call replaces ``BLOCK``
+    scalar calls and yields the same values in the same order (numpy's
+    bounded draws keep any unused random bits in the bit generator, not
+    in the call), so results do not depend on the block size.  A draw
+    with a different ``high`` discards the rest of the block and starts
+    a new one at the stream's current position.
+    """
+
+    BLOCK = 64
+
+    __slots__ = ("_gen", "_high", "_values", "_pos")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._high = -1
+        self._values: list[int] = []
+        self._pos = 0
+
+    def draw(self, high: int) -> int:
+        """One uniform integer in ``[0, high]``; 0 without a draw if ``high <= 0``."""
+        if high <= 0:
+            return 0
+        pos = self._pos
+        if high != self._high or pos == len(self._values):
+            self._values = self._gen.integers(0, high + 1, size=self.BLOCK).tolist()
+            self._high = high
+            pos = 0
+        self._pos = pos + 1
+        return self._values[pos]

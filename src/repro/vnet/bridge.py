@@ -122,9 +122,14 @@ class VnetBridge(PacketStage):
     def _tx_loop(self):
         """Bridge thread: demultiplex on the link and transmit."""
         ystate = YieldState(self.sim, self.core.tuning, base_wakeup_ns=self.costs.idle_wakeup_ns)
+        sim = self.sim
+        txq = self.txq
         while True:
-            blocked = len(self.txq) == 0
-            frame, link = yield self.txq.get()
+            blocked = len(txq) == 0
+            if blocked or not sim.quiet():
+                frame, link = yield txq.get()
+            else:
+                frame, link = txq.try_get()
             penalty = ystate.penalty(blocked)
             if blocked:
                 penalty += self.host.wakeup_noise_ns()

@@ -487,7 +487,9 @@ class VnetCore(PacketStage):
             ):
                 yield from self.copier.charge(frame.size)
         self._pkts_to_bridge.inc()
-        yield self.bridge.txq.put((frame, link))
+        txq = self.bridge.txq
+        if not (self.sim.quiet() and txq.try_put((frame, link))):
+            yield txq.put((frame, link))
 
     def _shadow_copy(self, nbytes: int):
         """Body copy streaming off the critical path (memory contention only)."""
